@@ -12,8 +12,7 @@ use rand::Rng;
 
 use stst_graph::{Graph, Ident, NodeId};
 use stst_runtime::bits::{BitReader, BitWriter};
-use stst_runtime::codec::FieldSpec;
-use stst_runtime::{Algorithm, Codec, CodecCtx, ParentPointer, RawView, Screen, View};
+use stst_runtime::{Algorithm, Codec, CodecCtx, Escaped, FieldReader, Neighborhood, ParentPointer};
 
 /// Register: claimed root, parent pointer and distance only (no subtree size).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,27 +46,12 @@ impl Codec for DistanceOnlyState {
         }
     }
 
-    fn field_specs(ctx: &CodecCtx) -> Vec<FieldSpec> {
-        // Fault-free shape with the parent present: escape + root payload, presence +
-        // escape + parent payload, escape + dist payload.
-        let i = ctx.ident_bits;
-        vec![
-            FieldSpec {
-                name: "root",
-                offset: 1,
-                width: i,
-            },
-            FieldSpec {
-                name: "parent",
-                offset: i + 3,
-                width: i,
-            },
-            FieldSpec {
-                name: "dist",
-                offset: 2 * i + 4,
-                width: ctx.count_bits,
-            },
-        ]
+    fn extract(ctx: &CodecCtx, r: &mut FieldReader<'_>) -> Option<Self> {
+        Some(DistanceOnlyState {
+            root: r.uint(ctx.ident_bits)?,
+            parent: r.opt_uint(ctx.ident_bits)?,
+            dist: r.uint(ctx.count_bits)?,
+        })
     }
 }
 
@@ -101,71 +85,25 @@ impl Algorithm for DistanceOnlySpanningTree {
         }
     }
 
-    fn step(&self, view: &View<'_, DistanceOnlyState>) -> Option<DistanceOnlyState> {
-        let mut best: (Ident, u64, Option<Ident>) = (view.ident, 0, None);
-        for nb in view.neighbors() {
-            if nb.state.root < view.ident && nb.state.dist + 1 < view.n as u64 {
-                let candidate = (nb.state.root, nb.state.dist + 1, Some(nb.ident));
-                if candidate < best {
-                    best = candidate;
-                }
+    fn rule<N: Neighborhood<DistanceOnlyState>>(
+        &self,
+        view: &N,
+    ) -> Result<DistanceOnlyState, Escaped> {
+        let (ident, n) = (view.ident(), view.n() as u64);
+        let mut best: (Ident, u64, Option<Ident>) = (ident, 0, None);
+        for port in 0..view.degree() {
+            let nb = view.register_at(port)?;
+            // Saturating: out-of-width garbage must not wrap into a short offer.
+            let offer_dist = nb.dist.saturating_add(1);
+            if nb.root < ident && offer_dist < n {
+                best = best.min((nb.root, offer_dist, Some(view.ident_at(port))));
             }
         }
-        let desired = DistanceOnlyState {
+        Ok(DistanceOnlyState {
             root: best.0,
             parent: best.2,
             dist: best.1,
-        };
-        (desired != *view.state).then_some(desired)
-    }
-
-    /// Decode-free mirror of [`DistanceOnlySpanningTree::step`] over extracted fields;
-    /// `Unknown` on any fired escape bit (the full-decode path owns fault garbage).
-    fn guard_screen(&self, raw: &RawView<'_>) -> Screen<DistanceOnlyState> {
-        let ctx = raw.ctx();
-        let mut own = raw.own_reader();
-        let Some(root) = own.uint(ctx.ident_bits) else {
-            return Screen::Unknown;
-        };
-        let Some(parent) = own.opt_uint(ctx.ident_bits) else {
-            return Screen::Unknown;
-        };
-        let Some(dist) = own.uint(ctx.count_bits) else {
-            return Screen::Unknown;
-        };
-        let current = DistanceOnlyState { root, parent, dist };
-        let n = raw.n as u64;
-        let mut best: (Ident, u64, Option<Ident>) = (raw.ident, 0, None);
-        for port in 0..raw.degree() {
-            let mut r = raw.reader_of(port);
-            let Some(nb_root) = r.uint(ctx.ident_bits) else {
-                return Screen::Unknown;
-            };
-            if r.opt_uint(ctx.ident_bits).is_none() {
-                return Screen::Unknown; // skip over the parent field
-            }
-            let Some(nb_dist) = r.uint(ctx.count_bits) else {
-                return Screen::Unknown;
-            };
-            // Un-escaped ⇒ < 2^count_bits, so the +1 cannot wrap (same arithmetic as
-            // `step` on the decoded value).
-            if nb_root < raw.ident && nb_dist + 1 < n {
-                let candidate = (nb_root, nb_dist + 1, Some(raw.neighbor(port).ident));
-                if candidate < best {
-                    best = candidate;
-                }
-            }
-        }
-        let desired = DistanceOnlyState {
-            root: best.0,
-            parent: best.2,
-            dist: best.1,
-        };
-        if desired == current {
-            Screen::Disabled
-        } else {
-            Screen::Enabled(desired)
-        }
+        })
     }
 
     fn is_legal(&self, graph: &Graph, states: &[DistanceOnlyState]) -> bool {
@@ -199,7 +137,7 @@ mod tests {
     #[test]
     fn field_extraction_matches_decoding_for_random_and_garbage_registers() {
         use rand::SeedableRng;
-        use stst_runtime::codec::FieldReader;
+        use stst_runtime::codec::assert_extract_matches_decode;
         let g = generators::workload(24, 0.15, 3);
         let ctx = stst_runtime::CodecCtx::for_graph(&g);
         let mut rng = rand::rngs::StdRng::seed_from_u64(41);
@@ -212,49 +150,12 @@ mod tests {
             parent: None,
             dist: u64::MAX, // escapes the count field
         });
-        let specs = DistanceOnlyState::field_specs(&ctx);
-        assert_eq!(
-            specs.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["root", "parent", "dist"]
-        );
         let ident_max = 1u64 << ctx.ident_bits;
-        let count_max = 1u64 << ctx.count_bits;
         for state in &states {
-            let mut words = Vec::new();
-            let mut w = BitWriter::new(&mut words, 0);
-            state.encode_into(&ctx, &mut w);
-            let mut f = FieldReader::new(&words, 0);
-            let root = f.uint(ctx.ident_bits);
-            assert_eq!(
-                root,
-                (state.root < ident_max).then_some(state.root),
-                "{state:?}"
-            );
-            let parent = f.opt_uint(ctx.ident_bits);
-            if state.parent.is_some_and(|p| p >= ident_max) {
-                assert_eq!(parent, None, "{state:?}");
-            } else {
-                assert_eq!(parent, Some(state.parent), "{state:?}");
-            }
-            let dist = f.uint(ctx.count_bits);
-            assert_eq!(
-                dist,
-                (state.dist < count_max).then_some(state.dist),
-                "{state:?}"
-            );
-            if let Some(p) = state.parent {
-                if root.is_some() && parent == Some(state.parent) && dist.is_some() {
-                    for (spec, value) in specs.iter().zip([state.root, p, state.dist]) {
-                        let mut r = BitReader::new(&words, spec.offset as u64);
-                        assert_eq!(
-                            r.read(spec.width as usize),
-                            value,
-                            "{}: {state:?}",
-                            spec.name
-                        );
-                    }
-                }
-            }
+            let escapes = state.root >= ident_max
+                || state.parent.is_some_and(|p| p >= ident_max)
+                || state.dist >= 1 << ctx.count_bits;
+            assert_extract_matches_decode(&ctx, state, escapes);
         }
     }
 

@@ -13,8 +13,7 @@ use rand::Rng;
 
 use stst_graph::{Graph, Ident, NodeId};
 use stst_runtime::bits::{BitReader, BitWriter};
-use stst_runtime::codec::FieldSpec;
-use stst_runtime::{Algorithm, Codec, CodecCtx, ParentPointer, RawView, Screen, View};
+use stst_runtime::{Algorithm, Codec, CodecCtx, Escaped, FieldReader, Neighborhood, ParentPointer};
 
 /// Register of the rooted BFS construction: parent pointer plus distance, `O(log n)` bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,21 +42,11 @@ impl Codec for BfsState {
         }
     }
 
-    fn field_specs(ctx: &CodecCtx) -> Vec<FieldSpec> {
-        // Fault-free shape with the parent present: presence bit, escape bit, parent
-        // payload, escape bit, dist payload.
-        vec![
-            FieldSpec {
-                name: "parent",
-                offset: 2,
-                width: ctx.ident_bits,
-            },
-            FieldSpec {
-                name: "dist",
-                offset: 3 + ctx.ident_bits,
-                width: ctx.count_bits,
-            },
-        ]
+    fn extract(ctx: &CodecCtx, r: &mut FieldReader<'_>) -> Option<Self> {
+        Some(BfsState {
+            parent: r.opt_uint(ctx.ident_bits)?,
+            dist: r.uint(ctx.count_bits)?,
+        })
     }
 }
 
@@ -101,90 +90,38 @@ impl Algorithm for RootedBfs {
         }
     }
 
-    fn step(&self, view: &View<'_, BfsState>) -> Option<BfsState> {
-        let n = view.n as u64;
-        let desired = if view.ident == self.root_ident {
-            BfsState {
+    fn rule<N: Neighborhood<BfsState>>(&self, view: &N) -> Result<BfsState, Escaped> {
+        let n = view.n() as u64;
+        if view.ident() == self.root_ident {
+            return Ok(BfsState {
                 parent: None,
                 dist: 0,
-            }
-        } else {
-            // Adopt the neighbor with the smallest distance (ties broken by identity);
-            // distances are capped at n − 1, the orphan state is (⊥, n).
-            view.neighbors()
-                .filter(|nb| nb.state.dist + 1 < n)
-                .min_by_key(|nb| (nb.state.dist, nb.ident))
-                .map(|nb| BfsState {
-                    parent: Some(nb.ident),
-                    dist: nb.state.dist + 1,
-                })
-                .unwrap_or(BfsState {
-                    parent: None,
-                    dist: n,
-                })
-        };
-        (desired != *view.state).then_some(desired)
-    }
-
-    /// Decode-free mirror of [`RootedBfs::step`]: extracts `(parent, dist)` of the
-    /// closed neighborhood straight from the packed heap and replays the same
-    /// min-offer arithmetic. Any fired escape bit (fault garbage wider than the
-    /// nominal field) aborts to `Unknown` so the full-decode path — which handles
-    /// arbitrary garbage — stays the single source of truth there.
-    fn guard_screen(&self, raw: &RawView<'_>) -> Screen<BfsState> {
-        let ctx = raw.ctx();
-        let mut own = raw.own_reader();
-        let Some(parent) = own.opt_uint(ctx.ident_bits) else {
-            return Screen::Unknown;
-        };
-        let Some(dist) = own.uint(ctx.count_bits) else {
-            return Screen::Unknown;
-        };
-        let current = BfsState { parent, dist };
-        let n = raw.n as u64;
-        let desired = if raw.ident == self.root_ident {
-            BfsState {
-                parent: None,
-                dist: 0,
-            }
-        } else {
-            // `min_by_key` keeps the first of equal minima, so only a strictly
-            // smaller key replaces the incumbent. Extracted fields are un-escaped,
-            // hence < 2^count_bits: the +1 cannot wrap (the same arithmetic `step`
-            // performs on the decoded values).
-            let mut best: Option<(u64, Ident)> = None;
-            for port in 0..raw.degree() {
-                let mut r = raw.reader_of(port);
-                if r.opt_uint(ctx.ident_bits).is_none() {
-                    return Screen::Unknown;
-                }
-                let Some(nb_dist) = r.uint(ctx.count_bits) else {
-                    return Screen::Unknown;
-                };
-                if nb_dist + 1 < n {
-                    let key = (nb_dist, raw.neighbor(port).ident);
-                    match best {
-                        Some(incumbent) if incumbent <= key => {}
-                        _ => best = Some(key),
-                    }
-                }
-            }
-            match best {
-                Some((d, ident)) => BfsState {
-                    parent: Some(ident),
-                    dist: d + 1,
-                },
-                None => BfsState {
-                    parent: None,
-                    dist: n,
-                },
-            }
-        };
-        if desired == current {
-            Screen::Disabled
-        } else {
-            Screen::Enabled(desired)
+            });
         }
+        // Adopt the neighbor with the smallest distance (ties broken by identity, the
+        // first port winning among equal keys); distances are capped at n − 1, the
+        // orphan state is (⊥, n). Saturation keeps out-of-width garbage from wrapping
+        // into a fake short offer.
+        let mut best: Option<(u64, Ident)> = None;
+        for port in 0..view.degree() {
+            let dist = view.register_at(port)?.dist;
+            if dist.saturating_add(1) < n {
+                let key = (dist, view.ident_at(port));
+                if best.is_none_or(|incumbent| key < incumbent) {
+                    best = Some(key);
+                }
+            }
+        }
+        Ok(match best {
+            Some((dist, parent)) => BfsState {
+                parent: Some(parent),
+                dist: dist + 1,
+            },
+            None => BfsState {
+                parent: None,
+                dist: n,
+            },
+        })
     }
 
     fn is_legal(&self, graph: &Graph, states: &[BfsState]) -> bool {
@@ -305,7 +242,7 @@ mod tests {
     #[test]
     fn field_extraction_matches_decoding_for_random_and_garbage_registers() {
         use rand::SeedableRng;
-        use stst_runtime::codec::FieldReader;
+        use stst_runtime::codec::assert_extract_matches_decode;
         let g = generators::workload(30, 0.15, 2);
         let ctx = stst_runtime::CodecCtx::for_graph(&g);
         let algo = RootedBfs::new(g.ident(g.min_ident_node()));
@@ -326,40 +263,37 @@ mod tests {
             parent: None,
             dist: 0,
         });
-        let specs = BfsState::field_specs(&ctx);
-        assert_eq!(
-            specs.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["parent", "dist"]
-        );
         for state in &states {
-            let mut words = Vec::new();
-            let mut w = BitWriter::new(&mut words, 0);
-            state.encode_into(&ctx, &mut w);
-            let mut f = FieldReader::new(&words, 0);
-            let parent = f.opt_uint(ctx.ident_bits);
-            if state.parent.is_some_and(|p| p >= 1 << ctx.ident_bits) {
-                // Escape-set slot: extraction must refuse (the screen falls back to
-                // the full decode, which handles arbitrary garbage).
-                assert_eq!(parent, None, "{state:?}");
-            } else {
-                assert_eq!(parent, Some(state.parent), "{state:?}");
-            }
-            let dist = f.uint(ctx.count_bits);
-            if state.dist >= 1 << ctx.count_bits {
-                assert_eq!(dist, None, "{state:?}");
-            } else {
-                assert_eq!(dist, Some(state.dist), "{state:?}");
-            }
-            // Fault-free fully-present shape: the static FieldSpec offsets are valid.
-            if let Some(p) = state.parent {
-                if parent == Some(state.parent) && dist == Some(state.dist) {
-                    let mut r = BitReader::new(&words, specs[0].offset as u64);
-                    assert_eq!(r.read(specs[0].width as usize), p);
-                    let mut r = BitReader::new(&words, specs[1].offset as u64);
-                    assert_eq!(r.read(specs[1].width as usize), state.dist);
-                }
-            }
+            let escapes = state.parent.is_some_and(|p| p >= 1 << ctx.ident_bits)
+                || state.dist >= 1 << ctx.count_bits;
+            assert_extract_matches_decode(&ctx, state, escapes);
         }
+    }
+
+    #[test]
+    fn out_of_width_distances_neither_overflow_nor_wrap_into_short_offers() {
+        // A fault can leave any 64-bit value in a register. `dist = u64::MAX` must not
+        // overflow the `+ 1` of an offer (a debug panic), nor wrap into a fake
+        // distance-0 offer (release), on either guard tier.
+        let g = generators::workload(25, 0.2, 8);
+        let root_ident = g.ident(g.min_ident_node());
+        let mut exec =
+            Executor::from_arbitrary(&g, RootedBfs::new(root_ident), ExecutorConfig::seeded(4));
+        exec.run_to_quiescence(2_000_000).unwrap();
+        let v = g.nodes().find(|&v| g.ident(v) != root_ident).unwrap();
+        exec.corrupt_node(
+            v,
+            BfsState {
+                parent: Some(1),
+                dist: u64::MAX,
+            },
+        );
+        assert!(
+            exec.guard_full_decodes() > 0,
+            "the garbage escapes extraction"
+        );
+        let q = exec.run_to_quiescence(2_000_000).unwrap();
+        assert!(q.legal);
     }
 
     #[test]

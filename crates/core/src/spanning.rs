@@ -18,8 +18,7 @@ use rand::Rng;
 
 use stst_graph::{Graph, Ident, NodeId};
 use stst_runtime::bits::{BitReader, BitWriter};
-use stst_runtime::codec::FieldSpec;
-use stst_runtime::{Algorithm, Codec, CodecCtx, ParentPointer, RawView, Screen, View};
+use stst_runtime::{Algorithm, Codec, CodecCtx, Escaped, FieldReader, Neighborhood, ParentPointer};
 
 /// Register of the spanning-tree construction: `O(log n)` bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,33 +57,13 @@ impl Codec for SpanningState {
         }
     }
 
-    fn field_specs(ctx: &CodecCtx) -> Vec<FieldSpec> {
-        // Fault-free shape with the parent present: escape + root payload, presence +
-        // escape + parent payload, escape + dist payload, escape + size payload.
-        let i = ctx.ident_bits;
-        let c = ctx.count_bits;
-        vec![
-            FieldSpec {
-                name: "root",
-                offset: 1,
-                width: i,
-            },
-            FieldSpec {
-                name: "parent",
-                offset: i + 3,
-                width: i,
-            },
-            FieldSpec {
-                name: "dist",
-                offset: 2 * i + 4,
-                width: c,
-            },
-            FieldSpec {
-                name: "size",
-                offset: 2 * i + c + 5,
-                width: c,
-            },
-        ]
+    fn extract(ctx: &CodecCtx, r: &mut FieldReader<'_>) -> Option<Self> {
+        Some(SpanningState {
+            root: r.uint(ctx.ident_bits)?,
+            parent: r.opt_uint(ctx.ident_bits)?,
+            dist: r.uint(ctx.count_bits)?,
+            size: r.uint(ctx.count_bits)?,
+        })
     }
 }
 
@@ -97,36 +76,6 @@ impl ParentPointer for SpanningState {
 /// The silent self-stabilizing spanning-tree (leader-elected BFS) construction.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MinIdSpanningTree;
-
-impl MinIdSpanningTree {
-    /// The best `(root, parent, dist)` offer available to the node: its own identity as
-    /// a root, or any neighbor offering a smaller root identity within the distance
-    /// bound `dist + 1 < n`.
-    fn best_offer(view: &View<'_, SpanningState>) -> (Ident, Option<Ident>, u64) {
-        let mut best: (Ident, u64, Option<Ident>) = (view.ident, 0, None);
-        for nb in view.neighbors() {
-            let offer_root = nb.state.root;
-            let offer_dist = nb.state.dist + 1;
-            if offer_root < view.ident && offer_dist < view.n as u64 {
-                let candidate = (offer_root, offer_dist, Some(nb.ident));
-                if (candidate.0, candidate.1, candidate.2) < (best.0, best.1, best.2) {
-                    best = candidate;
-                }
-            }
-        }
-        (best.0, best.2, best.1)
-    }
-
-    /// The subtree size implied by the current neighborhood: one plus the sizes of the
-    /// neighbors that designate this node as their parent under the same root.
-    fn implied_size(view: &View<'_, SpanningState>, root: Ident) -> u64 {
-        1 + view
-            .neighbors()
-            .filter(|nb| nb.state.parent == Some(view.ident) && nb.state.root == root)
-            .map(|nb| nb.state.size)
-            .sum::<u64>()
-    }
-}
 
 impl Algorithm for MinIdSpanningTree {
     type State = SpanningState;
@@ -150,99 +99,53 @@ impl Algorithm for MinIdSpanningTree {
         }
     }
 
-    fn step(&self, view: &View<'_, SpanningState>) -> Option<SpanningState> {
-        let (root, parent, dist) = Self::best_offer(view);
-        let size = Self::implied_size(view, root);
-        let desired = SpanningState {
-            root,
-            parent,
-            dist,
-            size,
-        };
-        (desired != *view.state).then_some(desired)
-    }
-
-    /// Decode-free mirror of [`MinIdSpanningTree::step`]: two extraction passes over
-    /// the packed neighborhood (one replaying [`MinIdSpanningTree::best_offer`], one
-    /// replaying [`MinIdSpanningTree::implied_size`] under the chosen root — the size
-    /// sum depends on the root picked by the first pass, exactly as in `step`). Any
-    /// fired escape bit aborts to `Unknown` and the full-decode path takes over.
-    fn guard_screen(&self, raw: &RawView<'_>) -> Screen<SpanningState> {
-        let ctx = raw.ctx();
-        let mut own = raw.own_reader();
-        let Some(root) = own.uint(ctx.ident_bits) else {
-            return Screen::Unknown;
-        };
-        let Some(parent) = own.opt_uint(ctx.ident_bits) else {
-            return Screen::Unknown;
-        };
-        let Some(dist) = own.uint(ctx.count_bits) else {
-            return Screen::Unknown;
-        };
-        let Some(size) = own.uint(ctx.count_bits) else {
-            return Screen::Unknown;
-        };
-        let current = SpanningState {
-            root,
-            parent,
-            dist,
-            size,
-        };
-        let n = raw.n as u64;
-        // Pass 1 — best offer. Extracted fields are un-escaped (< 2^count_bits), so
-        // the +1 cannot wrap; the candidate/incumbent tuples have exactly the types
-        // `best_offer` compares, `Option` ordering included.
-        let mut best: (Ident, u64, Option<Ident>) = (raw.ident, 0, None);
-        for port in 0..raw.degree() {
-            let mut r = raw.reader_of(port);
-            let Some(nb_root) = r.uint(ctx.ident_bits) else {
-                return Screen::Unknown;
-            };
-            if r.opt_uint(ctx.ident_bits).is_none() {
-                return Screen::Unknown;
+    fn rule<N: Neighborhood<SpanningState>>(&self, view: &N) -> Result<SpanningState, Escaped> {
+        let (ident, n) = (view.ident(), view.n() as u64);
+        // The best `(root, dist, parent)` offer: the node's own identity as a root, or
+        // any neighbor offering a smaller root identity within the distance bound
+        // `dist + 1 < n`. Saturation keeps out-of-width garbage from wrapping into a
+        // fake short offer.
+        let mut best: (Ident, u64, Option<Ident>) = (ident, 0, None);
+        // The implied subtree size: one plus the sizes of the neighbors that designate
+        // this node as their parent under the chosen root. Summed in the same pass
+        // under the best root so far, restarting whenever that root drops.
+        let mut size = 1u64;
+        // A child read under a root below the best one at the time (possible only if
+        // its own offer is out of bounds) may carry the final root: recount then.
+        let mut missed = false;
+        for port in 0..view.degree() {
+            let nb = view.register_at(port)?;
+            let offer_dist = nb.dist.saturating_add(1);
+            if nb.root < ident && offer_dist < n {
+                if nb.root < best.0 {
+                    size = 1;
+                }
+                best = best.min((nb.root, offer_dist, Some(view.ident_at(port))));
             }
-            let Some(nb_dist) = r.uint(ctx.count_bits) else {
-                return Screen::Unknown;
-            };
-            let offer_dist = nb_dist + 1;
-            if nb_root < raw.ident && offer_dist < n {
-                let candidate = (nb_root, offer_dist, Some(raw.neighbor(port).ident));
-                if candidate < best {
-                    best = candidate;
+            if nb.parent == Some(ident) {
+                if nb.root == best.0 {
+                    size = size.saturating_add(nb.size);
+                } else if nb.root < best.0 {
+                    missed = true;
                 }
             }
         }
-        // Pass 2 — implied size under the chosen root.
-        let mut implied = 1u64;
-        for port in 0..raw.degree() {
-            let mut r = raw.reader_of(port);
-            let Some(nb_root) = r.uint(ctx.ident_bits) else {
-                return Screen::Unknown;
-            };
-            let Some(nb_parent) = r.opt_uint(ctx.ident_bits) else {
-                return Screen::Unknown;
-            };
-            if r.uint(ctx.count_bits).is_none() {
-                return Screen::Unknown; // skip over dist
-            }
-            let Some(nb_size) = r.uint(ctx.count_bits) else {
-                return Screen::Unknown;
-            };
-            if nb_parent == Some(raw.ident) && nb_root == best.0 {
-                implied += nb_size;
+        let (root, dist, parent) = best;
+        if missed {
+            size = 1;
+            for port in 0..view.degree() {
+                let nb = view.register_at(port)?;
+                if nb.parent == Some(ident) && nb.root == root {
+                    size = size.saturating_add(nb.size);
+                }
             }
         }
-        let desired = SpanningState {
-            root: best.0,
-            parent: best.2,
-            dist: best.1,
-            size: implied,
-        };
-        if desired == current {
-            Screen::Disabled
-        } else {
-            Screen::Enabled(desired)
-        }
+        Ok(SpanningState {
+            root,
+            parent,
+            dist,
+            size,
+        })
     }
 
     fn is_legal(&self, graph: &Graph, states: &[SpanningState]) -> bool {
@@ -361,7 +264,7 @@ mod tests {
     #[test]
     fn field_extraction_matches_decoding_for_random_and_garbage_registers() {
         use rand::SeedableRng;
-        use stst_runtime::codec::FieldReader;
+        use stst_runtime::codec::assert_extract_matches_decode;
         let g = generators::workload(28, 0.2, 4);
         let ctx = stst_runtime::CodecCtx::for_graph(&g);
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
@@ -381,63 +284,97 @@ mod tests {
             dist: u64::MAX, // escapes the count field
             size: 6,
         });
-        let specs = SpanningState::field_specs(&ctx);
-        assert_eq!(
-            specs.iter().map(|s| s.name).collect::<Vec<_>>(),
-            ["root", "parent", "dist", "size"]
-        );
         let ident_max = 1u64 << ctx.ident_bits;
         let count_max = 1u64 << ctx.count_bits;
         for state in &states {
-            let mut words = Vec::new();
-            let mut w = BitWriter::new(&mut words, 0);
-            state.encode_into(&ctx, &mut w);
-            let mut f = FieldReader::new(&words, 0);
-            // Walk the fields in encoding order; each extraction must either equal the
-            // decoded struct field or refuse exactly when the field escaped.
-            let root = f.uint(ctx.ident_bits);
-            assert_eq!(
-                root,
-                (state.root < ident_max).then_some(state.root),
-                "{state:?}"
-            );
-            let parent = f.opt_uint(ctx.ident_bits);
-            if state.parent.is_some_and(|p| p >= ident_max) {
-                assert_eq!(parent, None, "{state:?}");
-            } else {
-                assert_eq!(parent, Some(state.parent), "{state:?}");
-            }
-            let dist = f.uint(ctx.count_bits);
-            assert_eq!(
-                dist,
-                (state.dist < count_max).then_some(state.dist),
-                "{state:?}"
-            );
-            let size = f.uint(ctx.count_bits);
-            assert_eq!(
-                size,
-                (state.size < count_max).then_some(state.size),
-                "{state:?}"
-            );
-            // Fault-free fully-present shape: static FieldSpec offsets are valid.
-            if let Some(p) = state.parent {
-                if root.is_some()
-                    && parent == Some(state.parent)
-                    && dist.is_some()
-                    && size.is_some()
-                {
-                    for (spec, value) in specs.iter().zip([state.root, p, state.dist, state.size]) {
-                        let mut r = BitReader::new(&words, spec.offset as u64);
-                        assert_eq!(
-                            r.read(spec.width as usize),
-                            value,
-                            "{}: {state:?}",
-                            spec.name
-                        );
-                    }
-                }
-            }
+            let escapes = state.root >= ident_max
+                || state.parent.is_some_and(|p| p >= ident_max)
+                || state.dist >= count_max
+                || state.size >= count_max;
+            assert_extract_matches_decode(&ctx, state, escapes);
         }
+    }
+
+    #[test]
+    fn out_of_width_distances_and_sizes_neither_overflow_nor_wrap() {
+        // A fault can leave any 64-bit value in a register. `size = u64::MAX` must not
+        // overflow the parent's subtree-size sum, nor `dist = u64::MAX` an offer's
+        // `+ 1` (debug panics; release wraps into a fake distance-0 offer).
+        let g = generators::workload(20, 0.2, 9);
+        let mut exec = Executor::from_arbitrary(&g, MinIdSpanningTree, ExecutorConfig::seeded(1));
+        exec.run_to_quiescence(2_000_000).unwrap();
+        let tree = exec.extract_tree().unwrap();
+        let v = g.nodes().find(|&v| tree.parent(v).is_some()).unwrap();
+        let settled = exec.states()[v.0];
+        for garbage in [
+            SpanningState {
+                size: u64::MAX,
+                ..settled
+            },
+            SpanningState {
+                dist: u64::MAX,
+                size: u64::MAX,
+                ..settled
+            },
+        ] {
+            let decodes = exec.guard_full_decodes();
+            exec.corrupt_node(v, garbage);
+            assert!(
+                exec.guard_full_decodes() > decodes,
+                "the garbage escapes extraction"
+            );
+            let q = exec.run_to_quiescence(2_000_000).unwrap();
+            assert!(q.legal, "{garbage:?}");
+            assert_eq!(exec.states()[v.0], settled);
+        }
+    }
+
+    #[test]
+    fn implied_size_counts_children_read_before_their_root_wins() {
+        use stst_runtime::{NeighborInfo, View};
+        // Node 0 (identity 10, n = 5). Port 0 is a child whose own offer is out of
+        // bounds (dist 7); port 1 then offers its root 1 in bounds. The child's root
+        // wins only after the child was read, so its size must still be counted.
+        let infos = [
+            NeighborInfo {
+                node: NodeId(1),
+                ident: 11,
+            },
+            NeighborInfo {
+                node: NodeId(2),
+                ident: 12,
+            },
+        ];
+        let states = [
+            SpanningState {
+                root: 10,
+                parent: None,
+                dist: 0,
+                size: 1,
+            },
+            SpanningState {
+                root: 1,
+                parent: Some(10),
+                dist: 7,
+                size: 3,
+            },
+            SpanningState {
+                root: 1,
+                parent: None,
+                dist: 0,
+                size: 1,
+            },
+        ];
+        let view = View::new(NodeId(0), 10, 5, &infos, &states);
+        assert_eq!(
+            MinIdSpanningTree.rule(&view),
+            Ok(SpanningState {
+                root: 1,
+                parent: Some(12),
+                dist: 1,
+                size: 4,
+            })
+        );
     }
 
     #[test]

@@ -5,34 +5,16 @@ use rand::rngs::StdRng;
 use stst_graph::{Graph, Ident, NodeId};
 
 use crate::register::Register;
-use crate::view::{RawView, View};
-
-/// Outcome of a decode-free guard screen ([`Algorithm::guard_screen`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Screen<S> {
-    /// The guard is definitely disabled: the desired next state, computed from
-    /// extracted fields alone, equals the current register bit-for-bit.
-    Disabled,
-    /// The guard resolved decode-free: the node is enabled and this is the next state
-    /// [`Algorithm::step`] would produce (required to be bit-identical to it).
-    Enabled(S),
-    /// The screen cannot decide — some field escaped (fault garbage) or the algorithm
-    /// offers no screen. The executor falls back to the full-decode path.
-    Unknown,
-}
+use crate::view::{Escaped, Neighborhood};
 
 /// A self-stabilizing algorithm in the state model.
 ///
 /// An algorithm is a transition function `δ : S* → S` evaluated over the closed 1-hop
-/// neighborhood of a node. A node is **enabled** (activatable) when [`Algorithm::step`]
-/// returns `Some(new_state)` with `new_state` different from the current register
-/// content; the scheduler decides which enabled nodes actually execute their step.
+/// neighborhood of a node ([`Algorithm::rule`]). A node is **enabled** (activatable)
+/// when `δ` differs from its current register ([`Algorithm::step`]); the scheduler
+/// decides which enabled nodes actually execute their step.
 ///
-/// Returning `Some(state)` equal to the node's current state is treated as *disabled*
-/// by the executor — guards should be written so that an enabled node always changes its
-/// register, otherwise the algorithm can never become silent.
-///
-/// Algorithms are `Sync`: [`Algorithm::step`] is a pure function of the view, and the
+/// Algorithms are `Sync`: the rule is a pure function of the neighborhood, and the
 /// parallel wave executor evaluates it concurrently from worker threads over the
 /// immutable pre-round configuration. (Every transition function is a stateless rule
 /// table in practice, so the bound is satisfied by construction.)
@@ -49,19 +31,24 @@ pub trait Algorithm: Sync {
     /// reachable (and ideally some unreachable) state space.
     fn arbitrary_state(&self, graph: &Graph, node: NodeId, rng: &mut StdRng) -> Self::State;
 
-    /// Evaluate the guarded rules of `view.node`. Returns the new register content if
-    /// some rule is enabled, `None` otherwise.
-    fn step(&self, view: &View<'_, Self::State>) -> Option<Self::State>;
+    /// The transition function `δ`: the register content the guarded rules prescribe
+    /// for the node, given its closed neighborhood (its current register when no rule
+    /// is enabled).
+    ///
+    /// Written once, generic over the neighborhood: the executor runs it first over
+    /// the packed store's decode-free [`crate::RawView`] and, when a read returns
+    /// [`Escaped`], runs it again over decoded registers — so propagate read errors
+    /// with `?` and let the executor pick the tier. A fault can leave any 64-bit value
+    /// in a register, so arithmetic on register fields must not overflow (saturate).
+    fn rule<N: Neighborhood<Self::State>>(&self, view: &N) -> Result<Self::State, Escaped>;
 
-    /// Decode-free guard screen over the **undecoded** closed neighborhood: the cheap
-    /// first tier of guard evaluation on the packed store. Implementations mirror
-    /// [`Algorithm::step`] on fields extracted by shift/mask ([`RawView`]) and must
-    /// return [`Screen::Unknown`] the moment any escape bit fires — the executor then
-    /// falls back to the full-decode path, which keeps the two tiers bit-identical
-    /// (the differential oracles pin this). The default screens nothing, so
-    /// algorithms without one are simply always full-decode.
-    fn guard_screen(&self, _raw: &RawView<'_>) -> Screen<Self::State> {
-        Screen::Unknown
+    /// The guarded step: `Some(δ)` if the node is enabled (`δ` differs from its
+    /// register), `None` otherwise. This is what the executor evaluates; algorithms
+    /// implement [`Algorithm::rule`] and keep this default.
+    fn step<N: Neighborhood<Self::State>>(&self, view: &N) -> Result<Option<Self::State>, Escaped> {
+        let own = view.register()?;
+        let next = self.rule(view)?;
+        Ok((next != own).then_some(next))
     }
 
     /// Global legality predicate for the configuration (used by tests and experiments to
@@ -99,14 +86,12 @@ mod tests {
             rng.gen_range(0..100)
         }
 
-        fn step(&self, view: &View<'_, u64>) -> Option<u64> {
-            let max = view
-                .neighbors()
-                .map(|nb| *nb.state)
-                .chain(std::iter::once(*view.state))
-                .max()
-                .expect("non-empty closed neighborhood");
-            (max != *view.state).then_some(max)
+        fn rule<N: Neighborhood<u64>>(&self, view: &N) -> Result<u64, Escaped> {
+            let mut max = view.register()?;
+            for port in 0..view.degree() {
+                max = max.max(view.register_at(port)?);
+            }
+            Ok(max)
         }
 
         fn is_legal(&self, _graph: &Graph, states: &[u64]) -> bool {
@@ -122,16 +107,14 @@ mod tests {
         let fwd = [NeighborInfo {
             node: NodeId(1),
             ident: 2,
-            weight: 1,
         }];
         let view = View::new(NodeId(0), 1, 2, &fwd, &states);
-        assert_eq!(algo.step(&view), Some(9));
+        assert_eq!(algo.step(&view), Ok(Some(9)));
         let back = [NeighborInfo {
             node: NodeId(0),
             ident: 1,
-            weight: 1,
         }];
         let view_ahead = View::new(NodeId(1), 2, 2, &back, &states);
-        assert_eq!(algo.step(&view_ahead), None);
+        assert_eq!(algo.step(&view_ahead), Ok(None));
     }
 }

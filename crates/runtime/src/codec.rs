@@ -127,32 +127,14 @@ fn fits(value: u64, width: u32) -> bool {
     width >= 64 || value < (1u64 << width)
 }
 
-/// Location of one field's payload inside a packed slot, **valid only for the
-/// fault-free shape** of the encoding: every escape bit clear and every optional field
-/// present. Under that shape the layout is fixed, so `offset`/`width` let a reader
-/// pull a field straight out of the heap with one shift/mask — no `decode_from`, no
-/// scratch structs. The moment any escape bit is set (fault garbage) or an optional
-/// field is absent, later offsets shift and the metadata must not be trusted;
-/// [`FieldReader`] is the cursor that handles those cases by walking the
-/// escape/presence bits themselves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FieldSpec {
-    /// Field name, matching the struct field it extracts.
-    pub name: &'static str,
-    /// Bit offset of the payload from the start of the slot (past the escape and
-    /// presence bits that precede it in the fault-free shape).
-    pub offset: u32,
-    /// Payload width in bits.
-    pub width: u32,
-}
-
 /// Decode-free cursor over one encoded register in a word buffer.
 ///
 /// Reads fields in the order the codec wrote them, checking each escape/presence bit
 /// inline: extraction is pure shift/mask ([`BitReader::read`]) and never constructs
 /// the register struct. A fired escape bit means the slot holds fault garbage wider
 /// than the nominal field — extraction returns `None` and the caller must fall back
-/// to the full [`Codec::decode_from`] path (the guard screens do exactly that).
+/// to the full [`Codec::decode_from`] path ([`Codec::extract`] implementations are
+/// built from these reads).
 #[derive(Clone, Debug)]
 pub struct FieldReader<'a> {
     r: BitReader<'a>,
@@ -216,9 +198,11 @@ impl<'a> FieldReader<'a> {
 ///    including garbage left by fault injection (the escape bit makes integer fields
 ///    total);
 /// 2. **exact accounting**: `encoded_bits(ctx, x)` equals the bits `encode_into`
-///    writes and `decode_from` consumes, for every value.
+///    writes and `decode_from` consumes, for every value;
+/// 3. **faithful extraction** (types that implement [`Codec::extract`]): extraction
+///    returns `decode_from`'s value whenever no escape bit fires, `None` otherwise.
 ///
-/// Both are pinned by seeded property tests next to every implementation.
+/// All three are pinned by seeded property tests next to every implementation.
 pub trait Codec: Sized {
     /// Exact number of bits [`Codec::encode_into`] writes for `self`.
     fn encoded_bits(&self, ctx: &CodecCtx) -> usize;
@@ -229,14 +213,15 @@ pub trait Codec: Sized {
     /// Deserializes one value at the reader's cursor.
     fn decode_from(ctx: &CodecCtx, r: &mut BitReader<'_>) -> Self;
 
-    /// Per-field offset/width metadata of the **fault-free encoded shape** (every
-    /// escape bit clear, every optional field present), in encoding order. Empty (the
-    /// default) means the type offers no decode-free extraction and guards always take
-    /// the full-decode path. See [`FieldSpec`] for the validity contract; the
-    /// extraction property tests next to each implementation pin
-    /// `extract(field) == decode().field`.
-    fn field_specs(_ctx: &CodecCtx) -> Vec<FieldSpec> {
-        Vec::new()
+    /// Decode-free extraction of one value at the reader's cursor: the value
+    /// [`Codec::decode_from`] would return, or `None` the moment an escape bit fires
+    /// (fault garbage wider than its nominal field). Pure shift/mask over the encoded
+    /// fields, so the executor's first guard tier reads registers without running the
+    /// decoder. The default extracts nothing: rules over such a register always take
+    /// the decoding tier. [`assert_extract_matches_decode`] pins the contract next to
+    /// every implementation.
+    fn extract(_ctx: &CodecCtx, _r: &mut FieldReader<'_>) -> Option<Self> {
+        None
     }
 }
 
@@ -251,14 +236,6 @@ impl Codec for u64 {
 
     fn decode_from(ctx: &CodecCtx, r: &mut BitReader<'_>) -> Self {
         CodecCtx::read_uint(r, ctx.ident_bits)
-    }
-
-    fn field_specs(ctx: &CodecCtx) -> Vec<FieldSpec> {
-        vec![FieldSpec {
-            name: "value",
-            offset: 1,
-            width: ctx.ident_bits,
-        }]
     }
 }
 
@@ -314,6 +291,30 @@ pub fn assert_codec_roundtrip<T: Codec + PartialEq + std::fmt::Debug>(ctx: &Code
         written,
         "decode must consume exactly the bits encode wrote for {value:?}"
     );
+}
+
+/// Asserts the [`Codec::extract`] contract for one encoded value: extraction yields
+/// exactly the decoded value and consumes exactly its bits when no escape bit fires,
+/// and `None` when one does. `escapes` says whether some field of `value` is wider
+/// than its nominal width. Shared by the per-type property tests, over the same
+/// random and garbage registers their round-trip tests build.
+pub fn assert_extract_matches_decode<T: Codec + PartialEq + std::fmt::Debug>(
+    ctx: &CodecCtx,
+    value: &T,
+    escapes: bool,
+) {
+    let mut words = Vec::new();
+    let mut w = BitWriter::new(&mut words, 3); // deliberately unaligned
+    value.encode_into(ctx, &mut w);
+    let mut f = FieldReader::new(&words, 3);
+    match T::extract(ctx, &mut f) {
+        Some(extracted) => {
+            assert!(!escapes, "extraction must refuse escaped {value:?}");
+            assert_eq!(&extracted, value, "extract must equal decode");
+            assert_eq!(f.bits_read() as usize, value.encoded_bits(ctx), "{value:?}");
+        }
+        None => assert!(escapes, "extraction refused the in-width {value:?}"),
+    }
 }
 
 #[cfg(test)]
@@ -410,20 +411,6 @@ mod tests {
             "cursor advances past escapes"
         );
         assert_eq!(f.bits_read(), written);
-    }
-
-    #[test]
-    fn u64_field_spec_locates_the_payload_in_the_fault_free_shape() {
-        let ctx = ctx();
-        let specs = u64::field_specs(&ctx);
-        assert_eq!(specs.len(), 1);
-        for value in [0u64, 17, 511] {
-            let mut words = Vec::new();
-            let mut w = BitWriter::new(&mut words, 0);
-            value.encode_into(&ctx, &mut w);
-            let mut r = BitReader::new(&words, specs[0].offset as u64);
-            assert_eq!(r.read(specs[0].width as usize), value);
-        }
     }
 
     #[test]

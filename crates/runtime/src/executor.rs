@@ -47,28 +47,25 @@
 //! a [`ConfigStore`]: under the default [`StoreMode::Packed`] every register occupies a
 //! fixed-width bit slot sized by its codec ([`crate::codec::Codec`]), so the bits the
 //! space reports account are the bits actually allocated (see `crates/runtime/src/store.rs`
-//! and DESIGN.md §2.9). Guard evaluations decode the closed neighborhood into a reused
-//! scratch buffer and run over a locally indexed [`View`] — algorithms observe the
-//! identical API, and because `decode(encode(x)) == x` exactly (the codec contract),
+//! and DESIGN.md §2.9). Because `decode(encode(x)) == x` exactly (the codec contract),
 //! packed executions are **bit-identical** to the retained [`StoreMode::Struct`]
 //! reference (asserted by `tests/packed_store_oracle.rs` across daemons, seeds,
 //! thread counts, fault injection and topology churn).
 //!
-//! # Two-tier guard evaluation (decode-free screening)
+//! # One rule, two tiers
 //!
-//! On the packed store, guard evaluation is two-tiered. The cheap first tier is the
-//! algorithm's [`Algorithm::guard_screen`]: it mirrors [`Algorithm::step`] on fields
-//! extracted from the heap by shift/mask ([`crate::view::RawView`]) — no
-//! `decode_from`, no scratch fill — and resolves the guard outright
-//! ([`crate::algorithm::Screen::Disabled`] / [`crate::algorithm::Screen::Enabled`])
-//! whenever every field of the closed neighborhood is in its fault-free shape. Only
-//! when some escape bit fires (fault garbage) or the algorithm offers no screen does
-//! the executor fall back to the full-decode second tier, so after the initial
-//! garbage is burned off a stabilizing run pays almost no decoding at all. The
-//! [`Executor::guard_screen_hits`] / [`Executor::guard_full_decodes`] counters split
-//! [`Executor::guard_evaluations`] between the tiers (struct-backed runs leave both
-//! at zero — that path is zero-copy and has nothing to screen), and the differential
-//! oracles pin that screening never changes a single bit of the execution.
+//! Every algorithm writes its transition function once ([`Algorithm::rule`]), generic
+//! over the closed-neighborhood read trait [`crate::view::Neighborhood`]. On the packed
+//! store the executor runs that rule over a [`RawView`] of the heap, whose register
+//! reads are decode-free shift/mask extractions ([`crate::codec::Codec::extract`]) —
+//! no `decode_from` at all. A read returns [`Escaped`] the moment an escape bit fires
+//! (fault garbage), and only then does the executor run the same rule again over
+//! [`RawView::decoding`], which decodes each slot it reads. Both tiers execute one
+//! rule body, so they agree by construction; after the initial garbage is burned off a
+//! stabilizing run decodes nothing. The [`Executor::guard_screen_hits`] /
+//! [`Executor::guard_full_decodes`] counters split [`Executor::guard_evaluations`]
+//! between the tiers (struct-backed runs leave both at zero — that path reads decoded
+//! structs directly and has nothing to screen).
 //!
 //! Writes are symmetric: [`ConfigStore::set`] short-circuits on bit-identical
 //! re-encodes via a per-slot xor-fold fingerprint, and the fault-injection paths use
@@ -83,14 +80,14 @@ use stst_graph::tree::TreeError;
 use stst_graph::{Graph, MutationOutcome, NodeId, Tree};
 use stst_obs::{Layer, Obs, TraceEvent};
 
-use crate::algorithm::{Algorithm, ParentPointer, Screen};
+use crate::algorithm::{Algorithm, ParentPointer};
 use crate::bits::{BitReader, BitWriter};
 use crate::codec::{Codec, CodecCtx};
 use crate::par::ThreadPool;
 use crate::persist::{self, RestoreError, Snapshot, SnapshotReader};
 use crate::scheduler::{Scheduler, SchedulerKind, SchedulerState};
 use crate::store::{ConfigStore, StoreMode};
-use crate::view::{NeighborInfo, RawView, View};
+use crate::view::{Escaped, NeighborInfo, RawView, View};
 
 /// Minimum number of guard evaluations in one wave before the executor hands the work
 /// to the pool: below this, thread spawn overhead beats the parallelism. Purity makes
@@ -107,10 +104,11 @@ pub const PAR_MIN_ITEMS: usize = 128;
 enum GuardPath {
     /// Struct-backed evaluation: zero-copy over decoded structs, nothing to screen.
     Struct,
-    /// The decode-free screen resolved the guard (packed store, fault-free shape).
+    /// The rule ran decode-free over extracted registers (packed store, no read
+    /// escaped).
     Screened,
-    /// Full decode of the closed neighborhood (screen returned `Unknown`, the
-    /// algorithm has no screen, or the store has no extractable heap).
+    /// The rule re-ran over decoded registers (some read escaped, or the register
+    /// type offers no extraction).
     Decoded,
 }
 
@@ -276,6 +274,23 @@ enum StateBackend<S: Codec + Clone> {
     },
 }
 
+/// Rebuilds the CSR of per-neighbor constants of `graph`: node `v`'s entries end up
+/// at `info[offsets[v] .. offsets[v + 1]]`, in the graph's port order.
+fn fill_neighbor_csr(graph: &Graph, offsets: &mut Vec<u32>, info: &mut Vec<NeighborInfo>) {
+    offsets.clear();
+    offsets.reserve(graph.node_count() + 1);
+    offsets.push(0);
+    info.clear();
+    info.reserve(2 * graph.edge_count());
+    for v in graph.nodes() {
+        info.extend(graph.neighbors(v).iter().map(|&(w, _)| NeighborInfo {
+            node: w,
+            ident: graph.ident(w),
+        }));
+        offsets.push(info.len() as u32);
+    }
+}
+
 /// Runs an [`Algorithm`] on a [`Graph`] under a [`Scheduler`].
 #[derive(Clone, Debug)]
 pub struct Executor<'g, A: Algorithm> {
@@ -295,14 +310,14 @@ pub struct Executor<'g, A: Algorithm> {
     /// Total guard evaluations performed (the cost metric the incremental design
     /// optimizes; exposed so tests and benches can assert the asymptotics).
     guard_evals: u64,
-    /// Guard evaluations resolved by the decode-free screen (packed store only).
+    /// Guard evaluations resolved by the decode-free tier (packed store only).
     screen_hits: u64,
-    /// Guard evaluations that fell through to a full decode of the closed
-    /// neighborhood (packed store only; the struct path decodes nothing).
+    /// Guard evaluations that re-ran the rule over decoded registers (packed store
+    /// only; the struct path decodes nothing).
     full_decodes: u64,
     /// CSR of per-neighbor incorruptible constants: node `v`'s entries live at
-    /// `nbr_info[nbr_offsets[v] .. nbr_offsets[v + 1]]`. Built once — identities and
-    /// weights never change, so views borrow these slices allocation-free.
+    /// `nbr_info[nbr_offsets[v] .. nbr_offsets[v + 1]]`. Built once — identities never
+    /// change, so views borrow these slices allocation-free.
     nbr_offsets: Vec<u32>,
     nbr_info: Vec<NeighborInfo>,
     /// Indexed enabled set: membership flags, dense list, and list positions.
@@ -329,9 +344,6 @@ pub struct Executor<'g, A: Algorithm> {
     /// Scratch buffer for the parallel wave's guard results (and the tier that
     /// produced each), index-aligned with `refresh_buf`.
     eval_buf: Vec<(Option<A::State>, GuardPath)>,
-    /// Scratch buffer the packed store decodes closed neighborhoods into (sequential
-    /// path; parallel waves hold one such buffer per worker).
-    decode_buf: Vec<A::State>,
     /// Observability handle ([`Executor::attach_obs`]); disabled by default, in which
     /// case every instrumentation site reduces to one branch. All trace emission and
     /// metric publication happens at wave boundaries on the calling thread — never
@@ -371,19 +383,8 @@ impl<'g, A: Algorithm> Executor<'g, A> {
                 pending: ConfigStore::empty(StoreMode::Packed, n),
             },
         };
-        let mut nbr_offsets = Vec::with_capacity(n + 1);
-        nbr_offsets.push(0u32);
-        let mut nbr_info = Vec::with_capacity(2 * graph.edge_count());
-        for v in graph.nodes() {
-            for &(w, e) in graph.neighbors(v) {
-                nbr_info.push(NeighborInfo {
-                    node: w,
-                    ident: graph.ident(w),
-                    weight: graph.weight(e),
-                });
-            }
-            nbr_offsets.push(nbr_info.len() as u32);
-        }
+        let (mut nbr_offsets, mut nbr_info) = (Vec::new(), Vec::new());
+        fill_neighbor_csr(graph, &mut nbr_offsets, &mut nbr_info);
         let mut exec = Executor {
             graph,
             algo,
@@ -412,7 +413,6 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             chosen_buf: Vec::new(),
             refresh_buf: Vec::new(),
             eval_buf: Vec::new(),
-            decode_buf: Vec::new(),
             obs: Obs::disabled(),
             obs_wave: None,
             obs_guard_mark: (0, 0, 0),
@@ -550,8 +550,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// * registers survive (remapped through [`MutationOutcome::old_index`] under
     ///   node churn; joining nodes start from an arbitrary state, like the initial
     ///   configuration);
-    /// * the per-neighbor constant caches (identities, weights) are rebuilt against
-    ///   the new CSR;
+    /// * the per-neighbor constant cache (identities) is rebuilt against the new CSR;
     /// * the enabled set is **re-seeded from exactly the dirty nodes**: a guard
     ///   reads only its closed 1-hop neighborhood and every changed edge has both
     ///   endpoints in [`MutationOutcome::dirty`], so no other cached pending
@@ -627,19 +626,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             },
         };
         self.graph = graph;
-        self.nbr_offsets.clear();
-        self.nbr_offsets.push(0);
-        self.nbr_info.clear();
-        for v in graph.nodes() {
-            for &(w, e) in graph.neighbors(v) {
-                self.nbr_info.push(NeighborInfo {
-                    node: w,
-                    ident: graph.ident(w),
-                    weight: graph.weight(e),
-                });
-            }
-            self.nbr_offsets.push(self.nbr_info.len() as u32);
-        }
+        fill_neighbor_csr(graph, &mut self.nbr_offsets, &mut self.nbr_info);
         if outcome.node_set_changed {
             // The dense index space was remapped: rebuild the enabled bookkeeping
             // wholesale.
@@ -684,67 +671,33 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// Evaluates `v`'s guard on the current configuration: the next state if `v` is
     /// enabled, `None` otherwise, plus the tier that resolved it. Pure read — does not
     /// touch the executor's caches or counters, which is what lets the parallel wave
-    /// run it from worker threads (each worker brings its own decode scratch; the
-    /// caller applies the returned [`GuardPath`]s in frontier order). The
-    /// struct-backed store evaluates over the dense slice zero-copy; the packed store
-    /// first tries the algorithm's decode-free screen over the raw heap and only on
-    /// [`Screen::Unknown`] decodes the closed neighborhood into `scratch` — identical
-    /// guard semantics either way (the screen is required to mirror `step` exactly on
-    /// fault-free shapes).
-    fn eval_guard(&self, v: NodeId, scratch: &mut Vec<A::State>) -> (Option<A::State>, GuardPath) {
+    /// run it from worker threads (the caller applies the returned [`GuardPath`]s in
+    /// frontier order). The struct-backed store evaluates over the dense slice
+    /// zero-copy; the packed store runs the rule decode-free over the raw heap and,
+    /// only if a read escaped, runs it again over decoded registers.
+    fn eval_guard(&self, v: NodeId) -> (Option<A::State>, GuardPath) {
         let range = self.nbr_offsets[v.0] as usize..self.nbr_offsets[v.0 + 1] as usize;
         let infos = &self.nbr_info[range];
+        let (ident, n) = (self.graph.ident(v), self.graph.node_count());
         match &self.backend {
             StateBackend::Struct { states, .. } => {
-                let view = View::with_weight_order(
-                    v,
-                    self.graph.ident(v),
-                    self.graph.node_count(),
-                    infos,
-                    self.graph.neighbor_order_by_weight(v),
-                    states,
-                );
-                let next = match self.algo.step(&view) {
-                    Some(next) if next != states[v.0] => Some(next),
-                    _ => None,
-                };
+                let view = View::new(v, ident, n, infos, states);
+                let next = self.algo.step(&view).expect("decoded reads never escape");
                 (next, GuardPath::Struct)
             }
             StateBackend::Packed { states, .. } => {
-                if let Some((heap, stride)) = states.raw_parts() {
-                    let raw = RawView::new(
-                        v,
-                        self.graph.ident(v),
-                        self.graph.node_count(),
-                        infos,
-                        heap,
-                        stride,
-                        &self.ctx,
-                    );
-                    match self.algo.guard_screen(&raw) {
-                        Screen::Disabled => return (None, GuardPath::Screened),
-                        Screen::Enabled(next) => return (Some(next), GuardPath::Screened),
-                        Screen::Unknown => {}
+                let (heap, stride) = states.raw_parts().expect("the packed backend is packed");
+                let raw = RawView::new(v, ident, n, infos, heap, stride, &self.ctx);
+                match self.algo.step(&raw) {
+                    Ok(next) => (next, GuardPath::Screened),
+                    Err(Escaped) => {
+                        let next = self
+                            .algo
+                            .step(&raw.decoding())
+                            .expect("decoded reads never escape");
+                        (next, GuardPath::Decoded)
                     }
                 }
-                scratch.clear();
-                for info in infos {
-                    scratch.push(states.get(info.node, &self.ctx));
-                }
-                scratch.push(states.get(v, &self.ctx));
-                let view = View::over_decoded(
-                    v,
-                    self.graph.ident(v),
-                    self.graph.node_count(),
-                    infos,
-                    Some(self.graph.neighbor_order_by_weight(v)),
-                    scratch,
-                );
-                let next = match self.algo.step(&view) {
-                    Some(next) if next != scratch[infos.len()] => Some(next),
-                    _ => None,
-                };
-                (next, GuardPath::Decoded)
             }
         }
     }
@@ -765,9 +718,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// and (on an enabled → disabled transition) the round bitset.
     fn refresh(&mut self, v: NodeId) {
         self.guard_evals += 1;
-        let mut scratch = std::mem::take(&mut self.decode_buf);
-        let (next, path) = self.eval_guard(v, &mut scratch);
-        self.decode_buf = scratch;
+        let (next, path) = self.eval_guard(v);
         self.note_path(path);
         self.apply_refresh(v, next);
     }
@@ -825,9 +776,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         results.clear();
         results.resize(n, (None, GuardPath::Struct));
         self.pool
-            .fill_with_init(&mut results, Vec::new, |scratch, i| {
-                self.eval_guard(NodeId(i), scratch)
-            });
+            .fill_with(&mut results, |i| self.eval_guard(NodeId(i)));
         self.guard_evals += n as u64;
         for (i, slot) in results.iter_mut().enumerate() {
             let (next, path) = (slot.0.take(), slot.1);
@@ -932,10 +881,9 @@ impl<'g, A: Algorithm> Executor<'g, A> {
     /// scratch, bypassing all caches. The differential tests assert that this always
     /// equals [`Executor::enabled_nodes`].
     pub fn rescan_enabled_nodes(&self) -> Vec<NodeId> {
-        let mut scratch = Vec::new();
         self.graph
             .nodes()
-            .filter(|&v| self.eval_guard(v, &mut scratch).0.is_some())
+            .filter(|&v| self.eval_guard(v).0.is_some())
             .collect()
     }
 
@@ -965,16 +913,16 @@ impl<'g, A: Algorithm> Executor<'g, A> {
         self.guard_evals
     }
 
-    /// Guard evaluations the decode-free screen resolved (packed store only; always
+    /// Guard evaluations the decode-free tier resolved (packed store only; always
     /// zero under [`StoreMode::Struct`], whose evaluation is zero-copy). In packed
     /// mode `guard_screen_hits() + guard_full_decodes() == guard_evaluations()`.
     pub fn guard_screen_hits(&self) -> u64 {
         self.screen_hits
     }
 
-    /// Guard evaluations that decoded the whole closed neighborhood (packed store
-    /// only): the screen returned [`Screen::Unknown`] — some register held escaped
-    /// fault garbage or the algorithm offers no screen.
+    /// Guard evaluations that re-ran the rule over decoded registers (packed store
+    /// only): some register read escaped — it held fault garbage — or the register
+    /// type offers no extraction.
     pub fn guard_full_decodes(&self) -> u64 {
         self.full_decodes
     }
@@ -1166,9 +1114,7 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             results.clear();
             results.resize(frontier.len(), (None, GuardPath::Struct));
             self.pool
-                .fill_with_init(&mut results, Vec::new, |scratch, i| {
-                    self.eval_guard(frontier[i], scratch)
-                });
+                .fill_with(&mut results, |i| self.eval_guard(frontier[i]));
             for (i, slot) in results.iter_mut().enumerate() {
                 let (next, path) = (slot.0.take(), slot.1);
                 self.note_path(path);
@@ -1176,13 +1122,11 @@ impl<'g, A: Algorithm> Executor<'g, A> {
             }
             self.eval_buf = results;
         } else {
-            let mut scratch = std::mem::take(&mut self.decode_buf);
             for &v in &frontier {
-                let (next, path) = self.eval_guard(v, &mut scratch);
+                let (next, path) = self.eval_guard(v);
                 self.note_path(path);
                 self.apply_refresh(v, next);
             }
-            self.decode_buf = scratch;
         }
         self.refresh_buf = frontier;
     }
@@ -1600,6 +1544,7 @@ pub fn parent_pointer_tree<S: ParentPointer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::Neighborhood;
     use rand::Rng;
     use stst_graph::generators;
     use stst_graph::Ident;
@@ -1623,14 +1568,12 @@ mod tests {
             rng.gen_range(0..2 * graph.node_count() as u64)
         }
 
-        fn step(&self, view: &View<'_, u64>) -> Option<u64> {
-            let best = view
-                .neighbors()
-                .map(|nb| *nb.state)
-                .chain(std::iter::once(view.ident))
-                .max()
-                .expect("closed neighborhood is non-empty");
-            (best > *view.state).then_some(best)
+        fn rule<N: Neighborhood<u64>>(&self, view: &N) -> Result<u64, Escaped> {
+            let mut best = view.register()?.max(view.ident());
+            for port in 0..view.degree() {
+                best = best.max(view.register_at(port)?);
+            }
+            Ok(best)
         }
 
         fn is_legal(&self, graph: &Graph, states: &[u64]) -> bool {
@@ -1787,8 +1730,9 @@ mod tests {
 
     #[test]
     fn guard_tier_counters_account_every_packed_evaluation() {
-        // Flood-max has no screen, so on the packed store every evaluation falls
-        // through to a full decode; the struct path has nothing to screen or decode.
+        // Flood-max's `u64` registers offer no extraction, so on the packed store every
+        // evaluation falls through to the decoding tier; the struct path has nothing
+        // to screen or decode.
         let g = generators::random_connected(60, 0.08, 12);
         let mut packed = Executor::from_arbitrary(&g, FloodMax, ExecutorConfig::seeded(12));
         packed.run_to_quiescence(1_000_000).unwrap();

@@ -16,8 +16,9 @@
 //!   their accounted bit widths (fixed-stride bit slots in a shared word heap, with a
 //!   struct-backed reference mode for differential testing), so the accounted space
 //!   *is* the allocated space;
-//! * [`Algorithm`] — a guarded-rule transition function over the closed 1-hop
-//!   neighborhood [`View`];
+//! * [`Algorithm`] — a guarded-rule transition function, written once over the
+//!   closed 1-hop [`Neighborhood`] that both the decoded [`View`] and the packed
+//!   [`RawView`] implement;
 //! * [`Scheduler`] — central, synchronous, round-robin, uniformly random and
 //!   greedy-adversarial (unfair) daemons;
 //! * [`Executor`] — runs an algorithm from an *arbitrary* initial configuration,
@@ -46,8 +47,8 @@ pub mod scheduler;
 pub mod store;
 pub mod view;
 
-pub use algorithm::{Algorithm, ParentPointer, Screen};
-pub use codec::{Codec, CodecCtx, FieldReader, FieldSpec};
+pub use algorithm::{Algorithm, ParentPointer};
+pub use codec::{Codec, CodecCtx, FieldReader};
 pub use executor::{
     ExecError, ExecMode, Executor, ExecutorConfig, Quiescence, SpaceReport, StoreReport,
 };
@@ -56,4 +57,4 @@ pub use persist::{RestoreError, Snapshot, SnapshotReader};
 pub use register::Register;
 pub use scheduler::{Scheduler, SchedulerKind, SchedulerState};
 pub use store::{ConfigStore, StoreMode};
-pub use view::{NeighborInfo, NeighborView, RawView, View};
+pub use view::{Escaped, NeighborInfo, Neighborhood, RawView, View};

@@ -150,53 +150,6 @@ impl ThreadPool {
         });
     }
 
-    /// Like [`ThreadPool::fill_with`], but hands every worker a private scratch value
-    /// built by `init` and reused across that worker's whole shard. This is the entry
-    /// point of the packed-store guard waves: each worker keeps one decode buffer for
-    /// its shard, so a wave costs `O(threads)` allocations instead of one per guard
-    /// evaluation. `f` must be a pure function of `(scratch, index)` up to the scratch's
-    /// contents being overwritten per call — results are written into disjoint
-    /// sub-slices, so the output is identical to the sequential loop by construction.
-    pub fn fill_with_init<R, SC, I, F>(&self, out: &mut [R], init: I, f: F)
-    where
-        R: Send,
-        I: Fn() -> SC + Sync,
-        F: Fn(&mut SC, usize) -> R + Sync,
-    {
-        let shards = shard_ranges(out.len(), self.threads);
-        if shards.len() <= 1 {
-            let mut scratch = init();
-            for (i, slot) in out.iter_mut().enumerate() {
-                *slot = f(&mut scratch, i);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            let f = &f;
-            let init = &init;
-            let (first, mut rest) = out.split_at_mut(shards[0].len());
-            let mut handles = Vec::with_capacity(shards.len() - 1);
-            for range in &shards[1..] {
-                let (chunk, tail) = rest.split_at_mut(range.len());
-                rest = tail;
-                let start = range.start;
-                handles.push(scope.spawn(move || {
-                    let mut scratch = init();
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        *slot = f(&mut scratch, start + k);
-                    }
-                }));
-            }
-            let mut scratch = init();
-            for (k, slot) in first.iter_mut().enumerate() {
-                *slot = f(&mut scratch, k);
-            }
-            for h in handles {
-                h.join().expect("pool worker panicked");
-            }
-        });
-    }
-
     /// Runs two independent tasks, concurrently when the pool is parallel, and returns
     /// both results. The tasks must not touch shared mutable state (the type system
     /// enforces it: they only get `Send` captures).
@@ -284,22 +237,6 @@ mod tests {
         for threads in [2usize, 5, 8] {
             let mut par = vec![0u64; 777];
             ThreadPool::new(threads).fill_with(&mut par, f);
-            assert_eq!(seq, par, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn fill_with_init_reuses_scratch_and_matches_fill_with() {
-        let f = |scratch: &mut Vec<u64>, i: usize| {
-            scratch.clear();
-            scratch.extend((0..=i as u64).take(8));
-            scratch.iter().sum::<u64>() ^ (i as u64)
-        };
-        let mut seq = vec![0u64; 333];
-        ThreadPool::sequential().fill_with_init(&mut seq, Vec::new, f);
-        for threads in [2usize, 5, 8] {
-            let mut par = vec![0u64; 333];
-            ThreadPool::new(threads).fill_with_init(&mut par, Vec::new, f);
             assert_eq!(seq, par, "{threads} threads");
         }
     }

@@ -363,13 +363,12 @@ impl<S: Codec + Clone> ConfigStore<S> {
         }
     }
 
-    /// The packed heap and slot stride, for decode-free field extraction (the guard
-    /// screens build [`crate::view::RawView`]s over this). `None` in struct mode or
-    /// when the stride is zero (zero-bit registers leave nothing to read).
+    /// The packed heap and slot stride, for reading registers in place (the executor
+    /// builds [`crate::view::RawView`]s over this). `None` in struct mode.
     pub fn raw_parts(&self) -> Option<(&[u64], u32)> {
         match &self.repr {
-            Repr::Packed(b) if b.stride > 0 => Some((&b.heap, b.stride)),
-            _ => None,
+            Repr::Packed(b) => Some((&b.heap, b.stride)),
+            Repr::Struct(_) => None,
         }
     }
 

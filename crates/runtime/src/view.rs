@@ -1,99 +1,86 @@
 //! The closed 1-hop neighborhood a node reads during an atomic step.
 //!
 //! In the state model a node sees its own register, the registers of its neighbors, and
-//! the incorruptible constants of the model: its identity, its neighbors' identities and
-//! the weights of its incident edges (paper §II-A). A [`View`] packages exactly this —
-//! algorithms never get access to anything else, which keeps them honest about locality.
+//! the incorruptible constants of the model: its identity and its neighbors'
+//! identities (paper §II-A). [`Neighborhood`] is exactly that read interface, and every
+//! guarded rule ([`crate::Algorithm::rule`]) is written once, generic over it —
+//! algorithms never get access to anything else, which keeps them honest about
+//! locality.
 //!
-//! A view is **zero-allocation**: it borrows a CSR slice of per-neighbor constants
-//! ([`NeighborInfo`], precomputed once per executor since identities and weights never
-//! change) and a register slice. [`View::neighbors`] is a lazy iterator over that
-//! slice — building and consuming a view performs no heap allocation, which is what
-//! makes guard evaluation cheap enough to run millions of times per second.
+//! The trait has two implementations:
 //!
-//! Register access comes in two indexings:
+//! * [`View`] — decoded registers in a dense slice (the struct-backed store's
+//!   zero-copy path, and the one tests build by hand). Its reads never escape.
+//! * [`RawView`] — the packed store's heap read in place. In its default mode every
+//!   register read is a decode-free extraction ([`Codec::extract`], shift/mask) that
+//!   returns [`Escaped`] the moment an escape bit fires; [`RawView::decoding`] reads
+//!   the same slots through the full decoder instead, which never escapes.
 //!
-//! * **global** ([`View::new`], [`View::with_weight_order`]) — the view borrows the
-//!   whole dense configuration and dereferences `states[neighbor.node]`; this is the
-//!   struct-backed store's zero-copy path;
-//! * **local** ([`View::over_decoded`]) — the view borrows a scratch slice holding the
-//!   closed neighborhood's registers *decoded from the packed configuration store*
-//!   (`states[i]` is the register of `neighbors[i]`, the node's own register is last).
-//!   Algorithms observe exactly the same API, so the packed and struct paths evaluate
-//!   identical guards — the property the packed-vs-struct differential oracle pins.
+//! The executor runs a rule over the extracting [`RawView`] first and, on [`Escaped`],
+//! runs the same rule again over the decoding one. Both tiers execute one rule body,
+//! so they agree by construction.
+//!
+//! Views are **zero-allocation**: they borrow a CSR slice of per-neighbor constants
+//! ([`NeighborInfo`], precomputed once per executor since identities never change)
+//! and the register storage, and read a neighbor's register only when the rule asks
+//! for it.
 
-use stst_graph::{Ident, NodeId, Weight};
+use stst_graph::{Ident, NodeId};
 
-use crate::codec::{CodecCtx, FieldReader};
+use crate::bits::BitReader;
+use crate::codec::{Codec, CodecCtx, FieldReader};
+
+/// A register read the decode-free tier refused: an escape bit fired (fault garbage
+/// wider than its nominal field) or the register type offers no extraction. The
+/// executor answers it by re-running the rule over decoded registers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Escaped;
+
+/// Read access to a node's closed 1-hop neighborhood: everything a guarded rule may
+/// look at. Neighbors are addressed by **port** `0..degree()`, in a fixed (but
+/// arbitrary) order.
+pub trait Neighborhood<S> {
+    /// The node's own identity.
+    fn ident(&self) -> Ident;
+
+    /// Total number of nodes `n`. The paper allows nodes to know (a polynomial upper
+    /// bound on) `n`, since identities live in `{1, …, n^c}`; rules use it only to
+    /// bound counters.
+    fn n(&self) -> usize;
+
+    /// Degree of the node in the communication graph.
+    fn degree(&self) -> usize;
+
+    /// Identity of the neighbor at `port`.
+    fn ident_at(&self, port: usize) -> Ident;
+
+    /// The node's own register.
+    fn register(&self) -> Result<S, Escaped>;
+
+    /// The register of the neighbor at `port`.
+    fn register_at(&self, port: usize) -> Result<S, Escaped>;
+}
 
 /// The incorruptible constants a node knows about one neighbor: its dense index (for
-/// the simulator), its identity and the weight of the connecting edge. Register
-/// contents are *not* stored here — they change every step and are read through the
-/// dense state array instead.
+/// the simulator) and its identity. Register contents are *not* stored here — they
+/// change every step and are read through the register storage instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NeighborInfo {
     /// Dense index of the neighbor (simulation bookkeeping, not readable information).
     pub node: NodeId,
     /// The neighbor's identity.
     pub ident: Ident,
-    /// Weight of the connecting edge.
-    pub weight: Weight,
 }
 
-/// What a node sees of one neighbor: the neighbor's identity, the weight of the
-/// connecting edge (both incorruptible constants) and the neighbor's register.
-#[derive(Debug)]
-pub struct NeighborView<'a, S> {
-    /// Dense index of the neighbor (simulation bookkeeping, not readable information —
-    /// algorithms should use [`NeighborView::ident`] to name nodes).
-    pub node: NodeId,
-    /// The neighbor's identity.
-    pub ident: Ident,
-    /// Weight of the connecting edge.
-    pub weight: Weight,
-    /// The neighbor's current register content (read-only).
-    pub state: &'a S,
-}
-
-impl<S> Clone for NeighborView<'_, S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<S> Copy for NeighborView<'_, S> {}
-
-/// The closed neighborhood view handed to [`crate::Algorithm::step`].
-///
-/// Construct one with [`View::new`]; read neighbors through the allocation-free
-/// [`View::neighbors`] iterator.
+/// The closed neighborhood of `node` over a dense slice of decoded registers
+/// (`states[v]` is node `v`'s register). Reads never escape.
 #[derive(Clone, Copy, Debug)]
 pub struct View<'a, S> {
-    /// Dense index of the node taking the step (simulation bookkeeping).
-    pub node: NodeId,
-    /// The node's own identity.
-    pub ident: Ident,
-    /// Total number of nodes `n`. The paper allows nodes to know (a polynomial upper
-    /// bound on) `n`, since identities live in `{1, …, n^c}`; algorithms use it only to
-    /// bound counters.
-    pub n: usize,
-    /// The node's own register content.
-    pub state: &'a S,
-    /// Per-neighbor constants, one entry per incident edge, in a fixed (but arbitrary)
-    /// port order.
+    node: NodeId,
+    ident: Ident,
+    n: usize,
     neighbors: &'a [NeighborInfo],
-    /// Optional precomputed port permutation sorting `neighbors` by `(weight, ident)`
-    /// (local indices into `neighbors`). Weights are incorruptible constants, so the
-    /// order can be computed once at graph build time; with it,
-    /// [`View::neighbors_by_weight`] neither allocates nor sorts.
-    weight_order: Option<&'a [u32]>,
-    /// The register slice (neighbors are read through it lazily; locality is preserved
-    /// because the iterator only dereferences the listed neighbors). Globally indexed
-    /// by dense node id, or — for views decoded out of the packed store — locally
-    /// indexed in port order with the node's own register last.
     states: &'a [S],
-    /// `true` when `states` is the locally indexed decoded scratch slice.
-    local: bool,
 }
 
 impl<'a, S> View<'a, S> {
@@ -110,181 +97,70 @@ impl<'a, S> View<'a, S> {
         neighbors: &'a [NeighborInfo],
         states: &'a [S],
     ) -> Self {
+        assert!(node.0 < states.len(), "node {node} has a register");
         View {
             node,
             ident,
             n,
-            state: &states[node.0],
             neighbors,
-            weight_order: None,
             states,
-            local: false,
         }
-    }
-
-    /// Builds the view of `node` with a precomputed weight order for the neighbors
-    /// (local indices into `neighbors` sorted by `(weight, ident)`, as produced by
-    /// `Graph::neighbor_order_by_weight` at graph build time). This is the constructor
-    /// the executor uses: it makes [`View::neighbors_by_weight`] allocation- and
-    /// sort-free in hot guard evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range of `states`, or (debug only) if the order's
-    /// length does not match the neighbor count.
-    pub fn with_weight_order(
-        node: NodeId,
-        ident: Ident,
-        n: usize,
-        neighbors: &'a [NeighborInfo],
-        weight_order: &'a [u32],
-        states: &'a [S],
-    ) -> Self {
-        debug_assert_eq!(
-            neighbors.len(),
-            weight_order.len(),
-            "one order entry per neighbor"
-        );
-        View {
-            node,
-            ident,
-            n,
-            state: &states[node.0],
-            neighbors,
-            weight_order: Some(weight_order),
-            states,
-            local: false,
-        }
-    }
-
-    /// Builds the view of `node` over a **locally indexed decoded scratch slice**: the
-    /// packed-store executor decodes the closed neighborhood once per guard evaluation
-    /// into a reused buffer where `decoded[i]` is the register of `neighbors[i]` and
-    /// `decoded[neighbors.len()]` is the node's own register. The view borrows that
-    /// scratch — algorithms see the identical API at zero extra allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug only) if `decoded` is not exactly one register per neighbor plus
-    /// the node's own, or if a provided weight order's length does not match.
-    pub fn over_decoded(
-        node: NodeId,
-        ident: Ident,
-        n: usize,
-        neighbors: &'a [NeighborInfo],
-        weight_order: Option<&'a [u32]>,
-        decoded: &'a [S],
-    ) -> Self {
-        debug_assert_eq!(
-            decoded.len(),
-            neighbors.len() + 1,
-            "one register per neighbor plus the node's own"
-        );
-        if let Some(order) = weight_order {
-            debug_assert_eq!(order.len(), neighbors.len(), "one order entry per neighbor");
-        }
-        View {
-            node,
-            ident,
-            n,
-            state: &decoded[neighbors.len()],
-            neighbors,
-            weight_order,
-            states: decoded,
-            local: true,
-        }
-    }
-
-    /// Degree of the node in the communication graph.
-    pub fn degree(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// Allocation-free iterator over the neighbors (identity, edge weight and current
-    /// register of each).
-    pub fn neighbors(&self) -> Neighbors<'a, S> {
-        Neighbors {
-            neighbors: self.neighbors,
-            states: self.states,
-            local: self.local,
-            front: 0,
-            back: self.neighbors.len(),
-        }
-    }
-
-    /// The neighbor with identity `ident`, if adjacent.
-    pub fn neighbor_with_ident(&self, ident: Ident) -> Option<NeighborView<'a, S>> {
-        self.neighbors().find(|nb| nb.ident == ident)
-    }
-
-    /// `true` if some neighbor carries identity `ident`.
-    pub fn has_neighbor(&self, ident: Ident) -> bool {
-        self.neighbor_with_ident(ident).is_some()
-    }
-
-    /// The smallest identity in the closed neighborhood (the node and its neighbors).
-    pub fn min_ident_in_closed_neighborhood(&self) -> Ident {
-        self.neighbors
-            .iter()
-            .map(|nb| nb.ident)
-            .chain(std::iter::once(self.ident))
-            .min()
-            .expect("the closed neighborhood contains the node itself")
-    }
-
-    /// Neighbors together with the weight of the connecting edge, ordered by increasing
-    /// weight (ties by identity). When the view was built with
-    /// [`View::with_weight_order`] (as the executor always does) the iterator walks the
-    /// precomputed port permutation — no allocation, no sort, hot-loop safe. Views
-    /// built with [`View::new`] fall back to sorting a collected vector once.
-    pub fn neighbors_by_weight(&self) -> NeighborsByWeight<'a, S> {
-        let inner = match self.weight_order {
-            Some(order) => ByWeightInner::Precomputed {
-                order: order.iter(),
-                neighbors: self.neighbors,
-                states: self.states,
-                local: self.local,
-            },
-            None => {
-                let mut v: Vec<NeighborView<'a, S>> = self.neighbors().collect();
-                v.sort_by_key(|nb| (nb.weight, nb.ident));
-                ByWeightInner::Sorted(v.into_iter())
-            }
-        };
-        NeighborsByWeight { inner }
     }
 }
 
-/// The **undecoded** closed neighborhood: what a guard screen reads.
-///
-/// Where [`View`] hands an algorithm decoded registers, a `RawView` hands it bit
-/// cursors ([`FieldReader`]) straight into the packed store's heap — the same closed
-/// 1-hop neighborhood (own slot plus one slot per port, same port order), but field
-/// extraction is shift/mask with **no `decode_from` and no scratch fill**. Screens use
-/// it to answer "definitely disabled?" (or even to produce the full next state) on the
-/// fault-free fast path; any fired escape bit makes extraction return `None` and the
-/// executor falls back to the full-decode [`View`] path, so the two tiers are
-/// bit-identical by construction (pinned by `tests/packed_store_oracle.rs`).
+impl<S: Clone> Neighborhood<S> for View<'_, S> {
+    #[inline]
+    fn ident(&self) -> Ident {
+        self.ident
+    }
+
+    #[inline]
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline]
+    fn degree(&self) -> usize {
+        self.neighbors.len()
+    }
+
+    #[inline]
+    fn ident_at(&self, port: usize) -> Ident {
+        self.neighbors[port].ident
+    }
+
+    #[inline]
+    fn register(&self) -> Result<S, Escaped> {
+        Ok(self.states[self.node.0].clone())
+    }
+
+    #[inline]
+    fn register_at(&self, port: usize) -> Result<S, Escaped> {
+        Ok(self.states[self.neighbors[port].node.0].clone())
+    }
+}
+
+/// The closed neighborhood of `node` read in place from the packed store's heap
+/// (same ports, same constants as [`View`]). `DECODE` fixes the read mode at compile
+/// time: by default reads extract by shift/mask and escape on fault garbage;
+/// [`RawView::decoding`] yields the full-decoder view. Keeping the mode in the type
+/// keeps decoder code out of the extracting tier's hot loop.
 #[derive(Clone, Copy, Debug)]
-pub struct RawView<'a> {
-    /// Dense index of the node under evaluation (simulation bookkeeping).
-    pub node: NodeId,
-    /// The node's own identity.
-    pub ident: Ident,
-    /// Total number of nodes `n` (same bound [`View::n`] exposes).
-    pub n: usize,
-    /// Per-neighbor constants in port order (same CSR slice the decoded view uses).
+pub struct RawView<'a, const DECODE: bool = false> {
+    node: NodeId,
+    ident: Ident,
+    n: usize,
     neighbors: &'a [NeighborInfo],
     /// The packed heap and its slot stride.
     heap: &'a [u64],
     stride: u64,
-    /// The instance's field widths (what screens pass to [`FieldReader`]).
+    /// The instance's field widths.
     ctx: &'a CodecCtx,
 }
 
 impl<'a> RawView<'a> {
-    /// Builds the raw view of `node` over the packed heap (`heap`/`stride` as returned
-    /// by `ConfigStore::raw_parts`).
+    /// Builds the extracting view of `node` over the packed heap (`heap`/`stride` as
+    /// returned by `ConfigStore::raw_parts`).
     pub fn new(
         node: NodeId,
         ident: Ident,
@@ -305,171 +181,85 @@ impl<'a> RawView<'a> {
         }
     }
 
-    /// Degree of the node in the communication graph.
+    /// The same neighborhood, read through the full decoder: each read decodes one
+    /// slot lazily and never escapes. This is the executor's fallback tier.
+    pub fn decoding(self) -> RawView<'a, true> {
+        RawView {
+            node: self.node,
+            ident: self.ident,
+            n: self.n,
+            neighbors: self.neighbors,
+            heap: self.heap,
+            stride: self.stride,
+            ctx: self.ctx,
+        }
+    }
+}
+
+impl<const DECODE: bool> RawView<'_, DECODE> {
     #[inline]
-    pub fn degree(&self) -> usize {
+    fn read<S: Codec>(&self, v: NodeId) -> Result<S, Escaped> {
+        let pos = v.0 as u64 * self.stride;
+        if DECODE {
+            Ok(S::decode_from(
+                self.ctx,
+                &mut BitReader::new(self.heap, pos),
+            ))
+        } else {
+            S::extract(self.ctx, &mut FieldReader::new(self.heap, pos)).ok_or(Escaped)
+        }
+    }
+}
+
+impl<S: Codec, const DECODE: bool> Neighborhood<S> for RawView<'_, DECODE> {
+    #[inline]
+    fn ident(&self) -> Ident {
+        self.ident
+    }
+
+    #[inline]
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline]
+    fn degree(&self) -> usize {
         self.neighbors.len()
     }
 
-    /// The incorruptible constants of the neighbor at `port`.
     #[inline]
-    pub fn neighbor(&self, port: usize) -> NeighborInfo {
-        self.neighbors[port]
+    fn ident_at(&self, port: usize) -> Ident {
+        self.neighbors[port].ident
     }
 
-    /// The instance field widths.
     #[inline]
-    pub fn ctx(&self) -> &'a CodecCtx {
-        self.ctx
+    fn register(&self) -> Result<S, Escaped> {
+        self.read(self.node)
     }
 
-    /// A field cursor at the start of the node's own slot.
     #[inline]
-    pub fn own_reader(&self) -> FieldReader<'a> {
-        FieldReader::new(self.heap, self.node.0 as u64 * self.stride)
-    }
-
-    /// A field cursor at the start of the slot of the neighbor at `port`.
-    #[inline]
-    pub fn reader_of(&self, port: usize) -> FieldReader<'a> {
-        FieldReader::new(self.heap, self.neighbors[port].node.0 as u64 * self.stride)
-    }
-}
-
-/// Iterator over a [`View`]'s neighbors in increasing `(weight, ident)` order —
-/// allocation-free when the view carries a precomputed weight order.
-#[derive(Clone, Debug)]
-pub struct NeighborsByWeight<'a, S> {
-    inner: ByWeightInner<'a, S>,
-}
-
-#[derive(Clone, Debug)]
-enum ByWeightInner<'a, S> {
-    Precomputed {
-        order: std::slice::Iter<'a, u32>,
-        neighbors: &'a [NeighborInfo],
-        states: &'a [S],
-        local: bool,
-    },
-    Sorted(std::vec::IntoIter<NeighborView<'a, S>>),
-}
-
-impl<'a, S> Iterator for NeighborsByWeight<'a, S> {
-    type Item = NeighborView<'a, S>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            ByWeightInner::Precomputed {
-                order,
-                neighbors,
-                states,
-                local,
-            } => {
-                let port = *order.next()? as usize;
-                let info = &neighbors[port];
-                let state = if *local {
-                    &states[port]
-                } else {
-                    &states[info.node.0]
-                };
-                Some(NeighborView {
-                    node: info.node,
-                    ident: info.ident,
-                    weight: info.weight,
-                    state,
-                })
-            }
-            ByWeightInner::Sorted(items) => items.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            ByWeightInner::Precomputed { order, .. } => order.size_hint(),
-            ByWeightInner::Sorted(items) => items.size_hint(),
-        }
-    }
-}
-
-impl<S> ExactSizeIterator for NeighborsByWeight<'_, S> {}
-
-/// Lazy, allocation-free iterator over a [`View`]'s neighbors.
-#[derive(Clone, Debug)]
-pub struct Neighbors<'a, S> {
-    neighbors: &'a [NeighborInfo],
-    states: &'a [S],
-    local: bool,
-    front: usize,
-    back: usize,
-}
-
-impl<'a, S> Neighbors<'a, S> {
-    #[inline]
-    fn at(&self, port: usize) -> NeighborView<'a, S> {
-        let info = &self.neighbors[port];
-        let state = if self.local {
-            &self.states[port]
-        } else {
-            &self.states[info.node.0]
-        };
-        NeighborView {
-            node: info.node,
-            ident: info.ident,
-            weight: info.weight,
-            state,
-        }
-    }
-}
-
-impl<'a, S> Iterator for Neighbors<'a, S> {
-    type Item = NeighborView<'a, S>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.front >= self.back {
-            return None;
-        }
-        let item = self.at(self.front);
-        self.front += 1;
-        Some(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.back - self.front;
-        (remaining, Some(remaining))
-    }
-}
-
-impl<S> ExactSizeIterator for Neighbors<'_, S> {}
-
-impl<S> DoubleEndedIterator for Neighbors<'_, S> {
-    fn next_back(&mut self) -> Option<Self::Item> {
-        if self.front >= self.back {
-            return None;
-        }
-        self.back -= 1;
-        Some(self.at(self.back))
+    fn register_at(&self, port: usize) -> Result<S, Escaped> {
+        self.read(self.neighbors[port].node)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitWriter;
 
     const INFO: [NeighborInfo; 3] = [
         NeighborInfo {
             node: NodeId(1),
             ident: 9,
-            weight: 30,
         },
         NeighborInfo {
             node: NodeId(2),
             ident: 2,
-            weight: 10,
         },
         NeighborInfo {
             node: NodeId(3),
             ident: 7,
-            weight: 20,
         },
     ];
 
@@ -477,84 +267,91 @@ mod tests {
         View::new(NodeId(0), 5, 4, &INFO, states)
     }
 
+    /// Every read of `view`, in port order, own register last.
+    fn reads<S, N: Neighborhood<S>>(view: &N) -> Vec<(Ident, Result<S, Escaped>)> {
+        (0..view.degree())
+            .map(|p| (view.ident_at(p), view.register_at(p)))
+            .chain(std::iter::once((view.ident(), view.register())))
+            .collect()
+    }
+
     #[test]
     fn lookup_helpers() {
         let states = [0u64, 1, 2, 3];
         let view = sample_view(&states);
         assert_eq!(view.degree(), 3);
-        assert!(view.has_neighbor(2));
-        assert!(!view.has_neighbor(5));
-        assert_eq!(view.neighbor_with_ident(7).unwrap().weight, 20);
-        assert_eq!(view.min_ident_in_closed_neighborhood(), 2);
-        assert_eq!(*view.state, 0);
+        assert_eq!(view.ident(), 5);
+        assert_eq!(view.n(), 4);
+        assert_eq!(view.ident_at(2), 7);
+        assert_eq!(view.register(), Ok(0));
     }
 
     #[test]
     fn neighbor_iteration_reads_live_registers() {
         let states = [0u64, 11, 22, 33];
         let view = sample_view(&states);
-        let read: Vec<(Ident, u64)> = view.neighbors().map(|nb| (nb.ident, *nb.state)).collect();
-        assert_eq!(read, vec![(9, 11), (2, 22), (7, 33)]);
-        assert_eq!(view.neighbors().len(), 3);
-        let backwards: Vec<Ident> = view.neighbors().rev().map(|nb| nb.ident).collect();
-        assert_eq!(backwards, vec![7, 2, 9]);
+        assert_eq!(
+            reads(&view),
+            vec![(9, Ok(11)), (2, Ok(22)), (7, Ok(33)), (5, Ok(0))]
+        );
+    }
+
+    /// A two-field register whose extraction escapes exactly like a real one.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Pair(u64, u64);
+
+    impl Codec for Pair {
+        fn encoded_bits(&self, ctx: &CodecCtx) -> usize {
+            CodecCtx::uint_bits(self.0, ctx.count_bits)
+                + CodecCtx::uint_bits(self.1, ctx.count_bits)
+        }
+
+        fn encode_into(&self, ctx: &CodecCtx, w: &mut BitWriter<'_>) {
+            CodecCtx::write_uint(w, self.0, ctx.count_bits);
+            CodecCtx::write_uint(w, self.1, ctx.count_bits);
+        }
+
+        fn decode_from(ctx: &CodecCtx, r: &mut BitReader<'_>) -> Self {
+            Pair(
+                CodecCtx::read_uint(r, ctx.count_bits),
+                CodecCtx::read_uint(r, ctx.count_bits),
+            )
+        }
+
+        fn extract(ctx: &CodecCtx, r: &mut FieldReader<'_>) -> Option<Self> {
+            Some(Pair(r.uint(ctx.count_bits)?, r.uint(ctx.count_bits)?))
+        }
     }
 
     #[test]
-    fn weight_ordering_fallback_sorts() {
-        let states = [0u64, 1, 2, 3];
-        let view = sample_view(&states);
-        let order: Vec<Ident> = view.neighbors_by_weight().map(|nb| nb.ident).collect();
-        assert_eq!(order, vec![2, 7, 9]);
-        assert_eq!(view.neighbors_by_weight().len(), 3);
-    }
-
-    #[test]
-    fn precomputed_weight_order_matches_the_sorting_fallback() {
-        let states = [0u64, 11, 22, 33];
-        // INFO's (weight, ident) order is (10,2) < (20,7) < (30,9): ports 1, 2, 0.
-        let order = [1u32, 2, 0];
-        let view = View::with_weight_order(NodeId(0), 5, 4, &INFO, &order, &states);
-        let fallback = sample_view(&states);
-        let a: Vec<(Ident, u64)> = view
-            .neighbors_by_weight()
-            .map(|nb| (nb.ident, *nb.state))
-            .collect();
-        let b: Vec<(Ident, u64)> = fallback
-            .neighbors_by_weight()
-            .map(|nb| (nb.ident, *nb.state))
-            .collect();
-        assert_eq!(a, b);
-        assert_eq!(a, vec![(2, 22), (7, 33), (9, 11)]);
-        // The plain port-order iterator is unaffected by the weight order.
-        let ports: Vec<Ident> = view.neighbors().map(|nb| nb.ident).collect();
-        assert_eq!(ports, vec![9, 2, 7]);
-    }
-
-    #[test]
-    fn locally_indexed_decoded_views_match_the_global_indexing() {
-        // Global: states indexed by dense node id. Local: the same registers laid out
-        // in port order with the node's own register last (what the packed-store
-        // executor decodes into scratch).
-        let states = [5u64, 11, 22, 33];
-        let global = sample_view(&states);
-        let decoded = [11u64, 22, 33, 5]; // ports n1, n2, n3, then own (n0)
-        let order = [1u32, 2, 0];
-        let local = View::over_decoded(NodeId(0), 5, 4, &INFO, Some(&order), &decoded);
-        assert_eq!(*local.state, *global.state);
-        assert_eq!(local.degree(), global.degree());
-        let read = |v: &View<'_, u64>| -> Vec<(Ident, u64)> {
-            v.neighbors().map(|nb| (nb.ident, *nb.state)).collect()
+    fn raw_views_read_what_decoded_views_read() {
+        let ctx = CodecCtx {
+            ident_bits: 8,
+            weight_bits: 8,
+            count_bits: 8,
+            len_bits: 7,
         };
-        assert_eq!(read(&local), read(&global));
-        let back: Vec<u64> = local.neighbors().rev().map(|nb| *nb.state).collect();
-        assert_eq!(back, vec![33, 22, 11]);
-        let by_weight: Vec<(Ident, u64)> = local
-            .neighbors_by_weight()
-            .map(|nb| (nb.ident, *nb.state))
-            .collect();
-        assert_eq!(by_weight, vec![(2, 22), (7, 33), (9, 11)]);
-        assert_eq!(local.neighbor_with_ident(7).map(|nb| *nb.state), Some(33));
-        assert_eq!(local.min_ident_in_closed_neighborhood(), 2);
+        let mut states = vec![Pair(5, 6), Pair(11, 12), Pair(22, 23), Pair(33, 34)];
+        let store = |states: &[Pair]| crate::store::ConfigStore::packed_from_slice(states, &ctx);
+        let packed = store(&states);
+        let (heap, stride) = packed.raw_parts().unwrap();
+        let raw = RawView::new(NodeId(0), 5, 4, &INFO, heap, stride, &ctx);
+        let decoded = View::new(NodeId(0), 5, 4, &INFO, &states);
+        assert_eq!(reads(&raw), reads(&decoded));
+        assert_eq!(reads(&raw.decoding()), reads(&decoded));
+
+        // Out-of-width garbage at port 1: extraction escapes there and only there,
+        // while the decoding view still reads the exact value.
+        states[2] = Pair(3, u64::MAX);
+        let packed = store(&states);
+        let (heap, stride) = packed.raw_parts().unwrap();
+        let raw = RawView::new(NodeId(0), 5, 4, &INFO, heap, stride, &ctx);
+        let decoded = View::new(NodeId(0), 5, 4, &INFO, &states);
+        let extracted = reads::<Pair, _>(&raw);
+        assert_eq!(extracted[1], (2, Err(Escaped)));
+        for (i, read) in extracted.iter().enumerate().filter(|&(i, _)| i != 1) {
+            assert_eq!(*read, reads(&decoded)[i]);
+        }
+        assert_eq!(reads(&raw.decoding()), reads(&decoded));
     }
 }

@@ -9,9 +9,13 @@
 //! the same re-seeding under topology churn. These tests pin that across both
 //! guarded-rule layers, all 5 daemons, several seeds and thread counts {1, 2, 8}.
 
-use self_stabilizing_spanning_trees::baselines::naive_reset::DistanceOnlySpanningTree;
-use self_stabilizing_spanning_trees::core::bfs::RootedBfs;
-use self_stabilizing_spanning_trees::core::spanning::MinIdSpanningTree;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use self_stabilizing_spanning_trees::baselines::naive_reset::{
+    DistanceOnlySpanningTree, DistanceOnlyState,
+};
+use self_stabilizing_spanning_trees::core::bfs::{BfsState, RootedBfs};
+use self_stabilizing_spanning_trees::core::spanning::{MinIdSpanningTree, SpanningState};
 use self_stabilizing_spanning_trees::graph::{generators, Graph, Mutation, NodeId};
 use self_stabilizing_spanning_trees::obs::Obs;
 use self_stabilizing_spanning_trees::runtime::{
@@ -121,6 +125,139 @@ fn drive_lockstep<A: Algorithm + Clone>(
         (0, 0),
         "{label}: struct runs publish nothing to screen"
     );
+}
+
+/// Lockstep of packed and struct-backed executors under **out-of-width** register
+/// injection. `arbitrary_state` only draws values that fit the codec widths, so
+/// [`drive_lockstep`]'s faults never reach the decoding tier; here, every `every`
+/// steps, both executors get the same garbage at the same target through
+/// `corrupt_node`. The garbage escapes extraction, so the packed executor must re-run
+/// rules over decoded registers — and still match the struct reference state for
+/// state at every step.
+fn drive_lockstep_with_garbage<A: Algorithm + Clone>(
+    g: &Graph,
+    algo: A,
+    config: ExecutorConfig,
+    max_steps: usize,
+    every: usize,
+    garbage: impl Fn(&mut StdRng) -> A::State,
+    label: &str,
+) {
+    let mut rng = StdRng::seed_from_u64(config.seed ^ 0x9a7b);
+    let mut packed = Executor::from_arbitrary(g, algo.clone(), config);
+    let mut structs = Executor::from_arbitrary(g, algo, config.with_store(StoreMode::Struct));
+    for step in 0..max_steps {
+        if step % every == every - 1 {
+            let v = NodeId(rng.gen_range(0..g.node_count()));
+            let state = garbage(&mut rng);
+            packed.corrupt_node(v, state.clone());
+            structs.corrupt_node(v, state);
+            assert_eq!(
+                packed.states(),
+                structs.states(),
+                "{label}: after garbage at step {step}"
+            );
+        }
+        if packed.is_quiescent() {
+            assert!(structs.is_quiescent(), "{label}: quiescence at step {step}");
+            continue;
+        }
+        let a = packed.step_once().to_vec();
+        let b = structs.step_once().to_vec();
+        assert_eq!(a, b, "{label}: chosen nodes at step {step}");
+        assert_eq!(
+            packed.states(),
+            structs.states(),
+            "{label}: states at step {step}"
+        );
+        assert_eq!(
+            (packed.moves(), packed.rounds(), packed.guard_evaluations()),
+            (
+                structs.moves(),
+                structs.rounds(),
+                structs.guard_evaluations()
+            ),
+            "{label}: counters at step {step}"
+        );
+        assert_eq!(
+            packed.guard_screen_hits() + packed.guard_full_decodes(),
+            packed.guard_evaluations(),
+            "{label}: tier accounting at step {step}"
+        );
+    }
+    assert!(
+        packed.guard_full_decodes() > 0,
+        "{label}: the garbage never reached the decoding tier"
+    );
+    let qp = packed.run_to_quiescence(2_000_000).unwrap();
+    let qs = structs.run_to_quiescence(2_000_000).unwrap();
+    assert_eq!(qp, qs, "{label}: re-stabilization");
+    assert_eq!(packed.states(), structs.states(), "{label}: final states");
+    assert!(qp.legal, "{label}: recovered from out-of-width garbage");
+}
+
+/// An identity or counter value far outside every codec field width.
+fn wide(rng: &mut StdRng) -> u64 {
+    if rng.gen_bool(0.25) {
+        u64::MAX
+    } else {
+        rng.gen_range(1u64 << 40..u64::MAX)
+    }
+}
+
+#[test]
+fn packed_and_struct_stores_agree_under_out_of_width_garbage() {
+    let g = generators::workload(20, 0.2, 5);
+    let root_ident = g.ident(g.min_ident_node());
+    for kind in SchedulerKind::all() {
+        drive_lockstep_with_garbage(
+            &g,
+            RootedBfs::new(root_ident),
+            ExecutorConfig::with_scheduler(7, kind),
+            300,
+            11,
+            |rng| BfsState {
+                parent: rng.gen_bool(0.5).then(|| wide(rng)),
+                dist: wide(rng),
+            },
+            &format!("bfs garbage/{kind}"),
+        );
+        drive_lockstep_with_garbage(
+            &g,
+            MinIdSpanningTree,
+            ExecutorConfig::with_scheduler(3, kind),
+            300,
+            11,
+            |rng| SpanningState {
+                root: if rng.gen_bool(0.5) {
+                    wide(rng)
+                } else {
+                    rng.gen_range(0..4)
+                },
+                parent: Some(rng.gen_range(0..40)),
+                dist: wide(rng),
+                size: wide(rng),
+            },
+            &format!("spanning garbage/{kind}"),
+        );
+        drive_lockstep_with_garbage(
+            &g,
+            DistanceOnlySpanningTree,
+            ExecutorConfig::with_scheduler(11, kind),
+            300,
+            11,
+            |rng| DistanceOnlyState {
+                root: if rng.gen_bool(0.5) {
+                    wide(rng)
+                } else {
+                    rng.gen_range(0..4)
+                },
+                parent: rng.gen_bool(0.5).then(|| wide(rng)),
+                dist: wide(rng),
+            },
+            &format!("distance-only garbage/{kind}"),
+        );
+    }
 }
 
 #[test]
